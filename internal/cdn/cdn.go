@@ -236,7 +236,11 @@ func (n *Node) Do(req agents.Request) agents.Response {
 				Referer: req.Referer, ContentType: resp.ContentType,
 			})
 		}
-		return agents.Response{Status: resp.Status, ContentType: resp.ContentType, Body: resp.Body}
+		// The agent keeps its body past Done, which recycles a script
+		// download's buffer, so it gets a copy of its own.
+		out := agents.Response{Status: resp.Status, ContentType: resp.ContentType, Body: append([]byte(nil), resp.Body...)}
+		resp.Done()
+		return out
 	}
 
 	// Replicated block list, checked before local session state: a session

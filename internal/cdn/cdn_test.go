@@ -364,3 +364,39 @@ func TestDoBatchMatchesDo(t *testing.T) {
 		t.Fatal("post-batch page views diverged")
 	}
 }
+
+// TestNodeScriptBodyOwned: a script body Node.Do returns belongs to the
+// agent. Later downloads recycle the engine's render buffers, and must not
+// change bytes an agent already holds.
+func TestNodeScriptBodyOwned(t *testing.T) {
+	n, vc := testNode(t, false)
+	scriptPath := func(ip string) string {
+		page := n.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: "Firefox", Method: "GET", Path: "/"})
+		body := string(page.Body)
+		i := strings.Index(body, "/__bd/index_")
+		if i < 0 {
+			t.Fatal("page carries no script")
+		}
+		return body[i : i+strings.Index(body[i:], ".js")+3]
+	}
+	get := func(ip, path string) []byte {
+		resp := n.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: "Firefox", Method: "GET", Path: path})
+		if resp.Status != 200 || !strings.Contains(string(resp.Body), "function") {
+			t.Fatalf("script download = %d %.40q", resp.Status, resp.Body)
+		}
+		return resp.Body
+	}
+	var held [][]byte
+	var want []string
+	for i := 0; i < 50; i++ {
+		ip := "10.0.1." + string(rune('a'+i%26))
+		body := get(ip, scriptPath(ip))
+		held = append(held, body)
+		want = append(want, string(body))
+	}
+	for i := range held {
+		if string(held[i]) != want[i] {
+			t.Fatalf("a later download rewrote script body %d the agent held", i)
+		}
+	}
+}

@@ -155,32 +155,39 @@ func (n *Network) wireExportHooks(node *Node) {
 }
 
 // fleetCallbacks builds the replication callbacks that apply peer updates to
-// one node's local engines. Every callback checks the down flag first: a
-// crashed node neither applies nor re-exports anything.
+// one node's local engines. The callbacks that apply replicated updates gate
+// on the replicator itself running, not on the node's down flag: the
+// replicator merges an update into its store only while running, so applying
+// exactly then keeps "replicator store ⊆ engine/policy state" true by
+// construction — including inside Restart, where the replicator runs before
+// the node serves again. An update merged but dropped would never come back:
+// anti-entropy re-offers carry the same sequence and stamp, so they never
+// supersede the stored entry. The handoff callbacks exchange serving-side
+// session evidence and stay off while the node is down.
 func (n *Network) fleetCallbacks(node *Node) fleet.Callbacks {
 	eng := node.cfg.Engine
 	pol := node.cfg.Policy
 	return fleet.Callbacks{
 		OnVerdict: func(key session.Key, v core.Verdict, origin string) {
-			if node.down.Load() {
+			if !node.rep.Running() {
 				return
 			}
 			eng.ApplyRemoteVerdict(key, v, origin)
 		},
 		OnBlock: func(key session.Key, until time.Time) {
-			if node.down.Load() || pol == nil {
+			if !node.rep.Running() || pol == nil {
 				return
 			}
 			pol.BlockUntil(key, until)
 		},
 		OnModel: func(m *adaboost.Model, seq uint64) {
-			if node.down.Load() {
+			if !node.rep.Running() {
 				return
 			}
 			eng.SetModel(m)
 		},
 		OnObservation: func(u fleet.Update) {
-			if node.down.Load() {
+			if !node.rep.Running() {
 				return
 			}
 			// Fold the forwarded request into the owner's session exactly as a
@@ -370,6 +377,8 @@ func (n *Node) Crash() {
 // Restart brings a crashed or drained node back: the replicator restarts
 // under a bumped incarnation (so peers reset its watermark instead of
 // treating its fresh epochs as replays) and the node accepts requests again.
+// Updates the replicator merges before the node serves again still reach the
+// engine and policy (see fleetCallbacks).
 func (n *Node) Restart() {
 	if n.rep != nil {
 		n.rep.Restart()

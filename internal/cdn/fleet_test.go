@@ -11,6 +11,7 @@ import (
 	"botdetect/internal/clock"
 	"botdetect/internal/core"
 	"botdetect/internal/detect"
+	"botdetect/internal/fleet"
 	"botdetect/internal/rng"
 	"botdetect/internal/session"
 	"botdetect/internal/shard"
@@ -367,5 +368,61 @@ func TestFleetChaosHammer(t *testing.T) {
 	faults.RestartAll()
 	if crashes, restarts := faults.Counts(); crashes == 0 || restarts == 0 {
 		t.Fatalf("hammer never exercised node kills (crashes=%d restarts=%d)", crashes, restarts)
+	}
+}
+
+// TestRestartWindowUpdatesApplied: Node.Restart runs the replicator before
+// the node serves again, and every update the replicator merges in that
+// window must reach the engine or the policy — a merged update is never
+// resent, so dropping it would lose it for good. The test holds the node in
+// that window and delivers one update of each kind straight into its
+// replicator; replication timers are set far beyond the test's run, so
+// nothing else moves and no wall-clock wait is needed.
+func TestRestartWindowUpdatesApplied(t *testing.T) {
+	vc := clock.NewVirtual(time.Time{})
+	site := webmodel.Generate(webmodel.SiteConfig{Seed: 11, NumPages: 20})
+	net := NewNetwork(2, site, core.Config{Seed: 7, Clock: vc}, true, 99)
+	net.EnableReplication(FleetConfig{HeartbeatInterval: time.Hour, AntiEntropyInterval: time.Hour, Seed: 42})
+	t.Cleanup(net.StopReplication)
+	peer, node := net.Nodes()[0], net.Nodes()[1]
+
+	node.Crash()
+	node.Replicator().Restart() // the first half of Node.Restart
+	if !node.Down() || !node.Replicator().Running() {
+		t.Fatal("test setup: node must be down with its replicator running")
+	}
+	verdictKey := session.Key{IP: "10.9.0.1", UserAgent: "Bot"}
+	blockKey := session.Key{IP: "10.9.0.2", UserAgent: "Bot"}
+	obsKey := session.Key{IP: "10.9.0.3", UserAgent: "Bot"}
+	m := &adaboost.Model{TrainingError: 0.25}
+	from := peer.Name()
+	err := node.Replicator().Receive(&fleet.Message{From: from, Inc: 1, Kind: fleet.MsgBatch, Updates: []fleet.Update{
+		{Origin: from, Inc: 1, Epoch: 1, Stamp: 1, Kind: fleet.KindVerdict, Key: verdictKey,
+			Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "decoy"},
+		{Origin: from, Inc: 1, Epoch: 2, Stamp: 2, Kind: fleet.KindBlock, Key: blockKey,
+			Until: vc.Now().Add(time.Hour).UnixNano()},
+		{Origin: from, Inc: 1, Epoch: 3, Stamp: 3, Kind: fleet.KindModel, Model: m, ModelSeq: 1},
+		{Origin: from, Kind: fleet.KindObservation, Key: obsKey, Method: "GET", Path: "/",
+			Status: 200, CT: "text/html", When: vc.Now().UnixNano()},
+	}})
+	if err != nil {
+		t.Fatalf("receive: %v", err)
+	}
+	if _, ok := node.Replicator().VerdictFor(verdictKey); !ok {
+		t.Fatal("test setup: replicator did not merge the verdict")
+	}
+	node.Restart()
+
+	if v, ok := node.Engine().Remote().Get(verdictKey); !ok || v.Class != detect.ClassRobot || v.Origin != from {
+		t.Fatalf("verdict merged in the restart window never reached the engine: %+v %v", v, ok)
+	}
+	if !node.cfg.Policy.IsBlocked(blockKey) {
+		t.Fatal("block merged in the restart window never reached the policy")
+	}
+	if node.Engine().Model() != m {
+		t.Fatal("model merged in the restart window never reached the engine")
+	}
+	if _, ok := node.Engine().Session(obsKey); !ok {
+		t.Fatal("observation received in the restart window never reached the engine")
 	}
 }

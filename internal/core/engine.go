@@ -7,7 +7,7 @@
 //
 // The Engine is the concurrency facade over the detection pipeline: it owns
 // the sharded session tracker, the sharded key store, a sharded cache of
-// generated scripts and atomic counters, and fans every request out to
+// script render recipes and atomic counters, and fans every request out to
 // exactly one shard of each, so the hot path (ObserveRequest, HandleBeacon)
 // scales with cores instead of serialising on global mutexes. Reads
 // (Classify, Session) are lock-free, and idle-session expiry is amortised
@@ -34,6 +34,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"botdetect/internal/adaboost"
 	"botdetect/internal/clock"
@@ -99,22 +100,20 @@ type Response struct {
 	// no-store (always true for generated instrumentation objects).
 	NoCache bool
 
-	// script pins the refcounted body buffer for script downloads; Done
-	// drops the reference once the caller has written Body.
-	script *scriptBuf
-	eng    *Engine
+	// script is the pooled buffer a script download was rendered into; it
+	// belongs to this response alone.
+	script *[]byte
 }
 
-// Done releases the resources the response body pins — for script downloads,
-// one reference on the cached script buffer. Call it exactly once, after Body
-// has been written; it is a no-op on every other response (including the zero
-// value), and skipping it is safe but forgoes buffer recycling: the reference
-// count never reaches zero and the garbage collector reclaims the buffer
-// instead of the pool.
+// Done returns the buffer a script download was rendered into to the pool.
+// Call it exactly once, after Body has been written, and do not touch Body
+// afterwards; it is a no-op on every other response (including the zero
+// value). Skipping it is safe but forgoes recycling: the garbage collector
+// reclaims the buffer instead of the pool.
 func (r *Response) Done() {
 	if r.script != nil {
-		r.eng.releaseScriptBuf(r.script)
-		r.script, r.eng = nil, nil
+		scriptBufs.Put(r.script)
+		r.script = nil
 	}
 }
 
@@ -166,7 +165,7 @@ type Config struct {
 	// DegradedKeyTTL is the key lifetime for degraded page views (default
 	// SessionIdleTimeout/4).
 	DegradedKeyTTL time.Duration
-	// MaxScripts bounds retained generated scripts awaiting download.
+	// MaxScripts bounds the script recipes retained awaiting download.
 	MaxScripts int
 	// Shards is the shard count for the session table, the key store and the
 	// script cache, rounded up to a power of two. When zero the engine
@@ -324,49 +323,31 @@ type engineStats struct {
 	shedDegraded      atomic.Int64
 }
 
-// scriptBuf is a refcounted script body. The cache holds one reference for
-// as long as the entry lives; every download acquires another for the
-// duration of the response write. Only the last holder to drop its reference
-// recycles the buffer (through the engine's scriptBufs pool), so shard
-// eviction or replacement can never race a concurrent download into reused
-// bytes — reclamation is deferred until the last reader is gone.
-type scriptBuf struct {
-	refs atomic.Int32
-	b    []byte
-}
+// scriptBufs recycles the buffers script downloads are rendered into; each
+// buffer belongs to one response from render until Response.Done.
+var scriptBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// maxPooledScriptBuf bounds the capacity of buffers returned to the pool;
-// pathologically large bodies are left to the garbage collector rather than
-// pinned forever.
-const maxPooledScriptBuf = 1 << 20
-
-// acquireScriptBuf returns a buffer with one reference held by the caller.
-func (e *Engine) acquireScriptBuf() *scriptBuf {
-	sb := e.scriptBufs.Get().(*scriptBuf)
-	sb.refs.Store(1)
-	return sb
-}
-
-// releaseScriptBuf drops one reference; the last drop recycles the buffer.
-func (e *Engine) releaseScriptBuf(sb *scriptBuf) {
-	if sb.refs.Add(-1) == 0 && cap(sb.b) <= maxPooledScriptBuf {
-		e.scriptBufs.Put(sb)
-	}
-}
-
-// storedScript is one cached generated script, linked into its shard's
-// intrusive LRU list. Evicted entries are recycled through the shard free
-// list; the refcounted body buffer is released (not freed) on eviction, so
-// steady-state storage allocates nothing — bodies cycle through the engine's
-// buffer pool once every concurrent download has finished with them.
+// storedScript is one cached render recipe, linked into its shard's
+// intrusive LRU list: the variant picked at prepare time plus the page's
+// numeric keys — everything Variant.RenderKeys needs to produce the body
+// when the script is downloaded. Evicted entries are recycled through the
+// shard free list with their decoy slices, so steady-state storage
+// allocates nothing. Holding the variant pointer keeps a download after
+// RotateScripts byte-identical to a render at prepare time.
 type storedScript struct {
-	token      uint64
-	buf        *scriptBuf
+	token, key uint64
+	variant    *jsgen.Variant
+	decoys     []uint64
 	prev, next *storedScript
 }
 
-// scriptShard is one independently locked partition of the generated-script
-// cache (scripts are stored at page-rewrite time and served on download).
+// scriptEntryBytes is the per-entry cost ScriptCache charges besides the
+// decoy keys: the entry struct plus its map slot (8 B key + 8 B pointer at
+// the map's load factor).
+const scriptEntryBytes = int64(unsafe.Sizeof(storedScript{})) + 32
+
+// scriptShard is one independently locked partition of the script cache
+// (recipes are stored at page-rewrite time and rendered on download).
 type scriptShard struct {
 	mu      sync.Mutex
 	scripts map[uint64]*storedScript
@@ -431,9 +412,9 @@ type Engine struct {
 	cfg      Config
 	keys     *keystore.Store
 	interner *intern.Interner // shared UA/page string table (tracker + keystore)
-	gen  *jsgen.Generator
-	pool *jsgen.Pool // precompiled script variants; see RotateScripts
-	pre  pagePrecomp
+	gen      *jsgen.Generator
+	pool     *jsgen.Pool // precompiled script variants; see RotateScripts
+	pre      pagePrecomp
 
 	sessions *session.Tracker
 
@@ -450,7 +431,6 @@ type Engine struct {
 
 	scriptShards []*scriptShard
 	scriptMask   uint64
-	scriptBufs   sync.Pool // *scriptBuf, refcounted script bodies
 	pageStates   sync.Pool // *PageState, backs PrepareInstrumentation
 
 	// handlerName and transpImg are the injection's per-deployment constant
@@ -556,7 +536,6 @@ func New(cfg Config) *Engine {
 			max:     perShard,
 		}
 	}
-	e.scriptBufs.New = func() any { return new(scriptBuf) }
 	e.pageStates.New = func() any { return new(PageState) }
 	e.handlerName = []byte(e.gen.HandlerName)
 	e.transpImg = []byte(e.pre.transpImg)
@@ -623,11 +602,11 @@ type PageState struct {
 func (ps *PageState) Keys() *keystore.PageKeys { return &ps.pk }
 
 // PreparePage is the zero-copy core of PrepareInstrumentation: it issues the
-// page's keys numerically into ps.pk, renders the per-page obfuscated script
-// into a refcounted cache buffer, and composes the injection fragments in
-// place in ps.prep. The returned Prepared aliases ps — it stays valid until
-// the next PreparePage call on the same state. At steady state the call
-// allocates nothing.
+// page's keys numerically into ps.pk, caches the render recipe of the
+// per-page obfuscated script (see storedScript), and composes the injection
+// fragments in place in ps.prep. The returned Prepared aliases ps — it stays
+// valid until the next PreparePage call on the same state. At steady state
+// the call allocates nothing.
 func (e *Engine) PreparePage(clientIP, userAgent, pagePath string, ps *PageState) *htmlmod.Prepared {
 	start := time.Now()
 	e.keys.IssuePage(clientIP, pagePath, &ps.pk)
@@ -637,32 +616,22 @@ func (e *Engine) PreparePage(clientIP, userAgent, pagePath string, ps *PageState
 	return &ps.prep
 }
 
-// composePage renders and caches the page's script and composes the
-// injection fragments from the keys already issued into ps.pk. Split from
-// PreparePage so the batch path can issue keys for many pages in one
-// keystore pass and compose each afterwards.
+// composePage caches the page's script recipe and composes the injection
+// fragments from the keys already issued into ps.pk. Split from PreparePage
+// so the batch path can issue keys for many pages in one keystore pass and
+// compose each afterwards.
 func (e *Engine) composePage(ps *PageState) {
-	// Per-page script generation is a pooled template copy plus key splices:
-	// the variant is picked off the engine's RNG stream, so consecutive page
-	// views still receive differing obfuscated bodies.
+	// The variant is picked off the engine's RNG stream here, at prepare
+	// time, so consecutive page views still receive differing obfuscated
+	// bodies; the body itself is rendered only if the script is downloaded.
 	e.composePageWith(ps, e.scriptSeed())
 }
 
 // composePageWith is composePage with an explicit variant pick: the full
 // path draws a fresh seed per page, the degraded path pins pick 0 so every
-// degraded page shares the epoch's first variant. The body buffer is
-// refcounted; the cache holds one reference until eviction, downloads take
-// their own.
+// degraded page shares the epoch's first variant.
 func (e *Engine) composePageWith(ps *PageState, pick uint64) {
-	v := e.pool.Pick(pick)
-	sb := e.acquireScriptBuf()
-	if cap(sb.b) < v.Size() {
-		// Size exactly (engine keys always have KeyDigits digits) so a fresh
-		// buffer costs one allocation instead of append-growth churn.
-		sb.b = make([]byte, 0, v.Size())
-	}
-	sb.b = v.RenderKeys(sb.b[:0], ps.pk.Key, ps.pk.ScriptToken, ps.pk.Decoys, ps.pk.Digits)
-	e.storeScript(ps.pk.ScriptToken, sb)
+	e.storeScript(e.pool.Pick(pick), &ps.pk)
 
 	ps.css = ps.pk.AppendKey(append(ps.css[:0], e.pre.cssPre...), ps.pk.CSSToken)
 	ps.css = append(ps.css, e.pre.cssSuf...)
@@ -844,60 +813,71 @@ func (e *Engine) scriptShard(token uint64) *scriptShard {
 	return e.scriptShards[mix64(token)&e.scriptMask]
 }
 
-// storeScript caches sb under token, taking over the caller's reference.
-// Entry structs are recycled through the shard free list; replaced and
-// evicted bodies are released, which defers their recycling until any
-// concurrent download has finished writing them (see scriptBuf).
-func (e *Engine) storeScript(token uint64, sb *scriptBuf) {
-	sh := e.scriptShard(token)
+// storeScript caches the render recipe of the page's script under its
+// token, replacing any entry the token already had.
+func (e *Engine) storeScript(v *jsgen.Variant, pk *keystore.PageKeys) {
+	sh := e.scriptShard(pk.ScriptToken)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if old, ok := sh.scripts[token]; ok {
-		e.releaseScriptBuf(old.buf)
-		old.buf = sb
-		sh.moveToFront(old)
-		return
-	}
-	s := sh.free
-	if s != nil {
-		sh.free = s.next
-		s.next = nil
+	s, ok := sh.scripts[pk.ScriptToken]
+	if ok {
+		sh.moveToFront(s)
 	} else {
-		s = new(storedScript)
+		if s = sh.free; s != nil {
+			sh.free = s.next
+		} else {
+			s = new(storedScript)
+		}
+		s.token = pk.ScriptToken
+		sh.pushFront(s)
+		sh.scripts[s.token] = s
 	}
-	s.token, s.buf = token, sb
-	sh.pushFront(s)
-	sh.scripts[token] = s
+	s.key, s.variant = pk.Key, v
+	s.decoys = append(s.decoys[:0], pk.Decoys...)
 	for len(sh.scripts) > sh.max {
 		victim := sh.tail
-		if victim == nil {
-			break
-		}
 		sh.unlink(victim)
 		delete(sh.scripts, victim.token)
-		e.releaseScriptBuf(victim.buf)
-		victim.token, victim.buf = 0, nil
+		victim.variant = nil // a free entry must not pin a rotated-out epoch
 		victim.next = sh.free
 		sh.free = victim
 	}
 }
 
-// loadScript returns the cached script buffer for token with a fresh
-// reference held for the caller, who must release it (Response.Done) after
-// writing the body.
-func (e *Engine) loadScript(token uint64) (*scriptBuf, bool) {
+// renderScript renders the script cached under token into a pooled buffer
+// the caller owns until it returns it (Response.Done), or returns nil on a
+// miss. The render — a template copy plus key splices — runs under the
+// shard lock, so a concurrent replacement cannot tear the recipe.
+func (e *Engine) renderScript(token uint64) *[]byte {
 	sh := e.scriptShard(token)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s, ok := sh.scripts[token]
 	if !ok {
-		return nil, false
+		return nil
 	}
 	sh.moveToFront(s)
-	// The reference is taken under the shard lock, so it can never race the
-	// release performed by a concurrent replacement or eviction.
-	s.buf.refs.Add(1)
-	return s.buf, true
+	buf := scriptBufs.Get().(*[]byte)
+	if cap(*buf) < s.variant.Size() {
+		// Size exactly (engine keys always have the compiled digit count) so
+		// a fresh buffer costs one allocation instead of append-growth churn.
+		*buf = make([]byte, 0, s.variant.Size())
+	}
+	*buf = s.variant.RenderKeys((*buf)[:0], s.key, token, s.decoys, e.keys.KeyDigits())
+	return buf
+}
+
+// ScriptCache returns the number of cached script recipes and their
+// estimated footprint in bytes. The cache is bounded by Config.MaxScripts,
+// not by the tracked sessions, so MemoryEstimate leaves it out. It locks the
+// script shards one at a time.
+func (e *Engine) ScriptCache() (entries int, bytes int64) {
+	for _, sh := range e.scriptShards {
+		sh.mu.Lock()
+		entries += len(sh.scripts)
+		sh.mu.Unlock()
+	}
+	return entries, int64(entries) * (scriptEntryBytes + 8*int64(e.cfg.Decoys))
 }
 
 // ObserveRequest records one ordinary (non-instrumentation) request for
@@ -997,16 +977,14 @@ func (e *Engine) handleBeacon(clientIP, userAgent, path string) Response {
 		e.stats.scriptServes.Add(1)
 		// Script tokens are fixed-width decimal; anything else can only be a
 		// probe and gets the same expired-script fallback as a cache miss.
-		var sb *scriptBuf
+		resp := Response{Status: 200, ContentType: "application/javascript", Body: fallbackJS, NoCache: true}
 		if token, okTok := rng.ParseFixedDigits(tokenStr, e.cfg.KeyDigits); okTok {
-			sb, _ = e.loadScript(token)
+			if buf := e.renderScript(token); buf != nil {
+				resp.Body, resp.script = *buf, buf
+			}
 		}
-		body := fallbackJS
-		if sb != nil {
-			body = sb.b
-		}
-		e.stats.addedBytes.Add(int64(len(body)))
-		return Response{Status: 200, ContentType: "application/javascript", Body: body, NoCache: true, script: sb, eng: e}
+		e.stats.addedBytes.Add(int64(len(resp.Body)))
+		return resp
 
 	case strings.HasSuffix(rest, ".css"):
 		e.sessions.Mark(key, session.SignalCSS)

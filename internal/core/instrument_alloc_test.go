@@ -9,7 +9,7 @@ import (
 
 // TestPrepareInstrumentationAllocCeiling pins the per-page cost of the
 // instrumentation fast path: key/token strings from the keystore, the decoy
-// slice, one script-body buffer, and the three public path strings. The
+// slice, and the three public path strings. The
 // template pool, the injection fragments and the script-cache entries are
 // all recycled, so nothing else may allocate at steady state.
 func TestPrepareInstrumentationAllocCeiling(t *testing.T) {
@@ -34,8 +34,8 @@ func TestPrepareInstrumentationAllocCeiling(t *testing.T) {
 	}
 	// The legacy wrapper formats Issued (8 key strings + the decoy slice) and
 	// 3 path strings = 12 unavoidable; script-cache growth (entry struct,
-	// refcounted buffer, body) adds up to 3 until the cache reaches its
-	// eviction steady state. Allow slack for map-internal churn. The numeric
+	// decoy slice) adds up to 2 until the cache reaches its eviction steady
+	// state. Allow slack for map-internal churn. The numeric
 	// PreparePage path is gated at zero separately.
 	const ceiling = 18
 	if allocs > ceiling {

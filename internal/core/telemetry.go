@@ -104,6 +104,10 @@ func (e *Engine) registerTelemetry() {
 				emit(nl, 0)
 			}
 		})
+	reg.GaugeFunc("botdetect_script_cache_entries", "Script render recipes cached awaiting download (bounded by MaxScripts).",
+		func(emit func(labels string, v float64)) { n, _ := e.ScriptCache(); emit(nl, float64(n)) })
+	reg.GaugeFunc("botdetect_script_cache_bytes", "Estimated script cache footprint: entries times the per-entry estimate.",
+		func(emit func(labels string, v float64)) { _, b := e.ScriptCache(); emit(nl, float64(b)) })
 	reg.GaugeFunc("botdetect_intern_entries", "Live canonical strings in the shared interner.",
 		func(emit func(labels string, v float64)) { emit(nl, float64(e.interner.Stats().Entries)) })
 	reg.GaugeFunc("botdetect_intern_bytes", "Estimated interner footprint in bytes (strings plus table overhead).",

@@ -83,10 +83,11 @@ type StreamRewriter struct {
 
 	// Vectored emission: instead of one Write per emitted span, spans are
 	// gathered into vec and flushed through net.Buffers.WriteTo at the end
-	// of each feed — one writev on a *net.TCPConn, splicing origin chunks
-	// and prepared fragments into the socket with no intermediate copy.
-	// Spans may alias the caller's chunk or the carry buffer, so every
-	// return path out of feed flushes before those bytes can be reused.
+	// of each feed. Only a writer that is itself a net.Conn turns that into
+	// one writev; any other writer (under net/http, *http.response) gets
+	// one Write per span. Spans may alias the caller's chunk or the carry
+	// buffer, so every return path out of feed flushes before those bytes
+	// can be reused.
 	vecMode bool
 	vec     net.Buffers
 	// vecW is the WriteTo handover slot: net.Buffers.WriteTo has a pointer
@@ -147,11 +148,11 @@ func (r *StreamRewriter) Reset(w io.Writer, p *Prepared) {
 }
 
 // SetVectored switches output to gathered writes: emitted spans are queued
-// and flushed in one net.Buffers.WriteTo per Write/Close call. On a TCP
-// connection that is a single writev splicing origin bytes and injection
-// fragments straight into the socket; on other writers net.Buffers falls
-// back to sequential Writes, still without copying into an intermediate
-// buffer. Output bytes are identical either way. Call it after
+// and flushed in one net.Buffers.WriteTo per Write/Close call. When the
+// writer is a net.Conn that is a single writev; any other writer — under
+// net/http the handler's *http.response, which buffers in a bufio.Writer —
+// gets one Write per queued span, with no copy into a buffer of the
+// rewriter's own. Output bytes are identical either way. Call it after
 // NewStreamRewriter/Reset (Reset turns it off).
 func (r *StreamRewriter) SetVectored(on bool) { r.vecMode = on }
 
@@ -489,9 +490,10 @@ func (r *StreamRewriter) emit(b []byte) {
 	r.outBytes += int64(len(b))
 }
 
-// flushVec writes the queued spans with one gathered write (writev on a TCP
-// connection). net.Buffers.WriteTo consumes the slice it is given, so the
-// queue is handed over and re-armed over the same backing array.
+// flushVec writes the queued spans through net.Buffers.WriteTo: one writev
+// when the writer is a net.Conn, one Write per span otherwise.
+// net.Buffers.WriteTo consumes the slice it is given, so the queue is handed
+// over and re-armed over the same backing array.
 func (r *StreamRewriter) flushVec() {
 	if len(r.vec) == 0 {
 		return

@@ -163,6 +163,8 @@ func (a *Admin) handleStatus(w http.ResponseWriter, r *http.Request) {
 	} else {
 		loadLine += fmt.Sprintf(", memory %d bytes", det.MemoryEstimate())
 	}
+	scripts, scriptBytes := det.ScriptCache()
+	loadLine += fmt.Sprintf(", script cache %d entries %d bytes", scripts, scriptBytes)
 	if forced, ok := det.LoadForced(); ok {
 		loadLine += fmt.Sprintf(", FORCED to %s by operator drill", forced)
 	}

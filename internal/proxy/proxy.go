@@ -302,8 +302,8 @@ func (m *Middleware) clientIP(r *http.Request) string {
 // header.Set allocates. Nothing downstream appends to Cache-Control.
 var noStoreHeader = []string{"no-cache, no-store"}
 
-// writeDetectorResponse writes a core.Response to the client and releases
-// the resources its body pins (the refcounted script buffer for downloads).
+// writeDetectorResponse writes a core.Response to the client and then calls
+// Done, which recycles the buffer a script download was rendered into.
 func writeDetectorResponse(w http.ResponseWriter, resp core.Response) {
 	w.Header().Set("Content-Type", resp.ContentType)
 	if resp.NoCache {
@@ -370,8 +370,9 @@ func (s *responseStreamer) WriteHeader(code int) {
 		if s.conn != nil {
 			// Zero-copy path: keys issued numerically into the connection's
 			// PageState, fragments composed in place, and the connection's
-			// rewriter armed for vectored writes — injection fragments and
-			// origin chunks splice into the socket via one writev per chunk.
+			// rewriter armed for vectored writes. The writer here is
+			// net/http's *http.response, not a net.Conn, so each flush makes
+			// one Write per span into net/http's bufio buffer, not a writev.
 			if s.admission == core.AdmitDegraded {
 				s.prep = eng.PreparePageDegraded(s.clientIP, s.ua, s.req.URL.Path, &s.conn.ps)
 			} else {
